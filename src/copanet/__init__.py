@@ -1,6 +1,6 @@
 """Competitive pathway networks on a self-contained autodiff engine."""
 
-from . import analysis, data, engine, models, training, units
+from . import analysis, data, engine, models, settings, training, units
 from .engine import Tensor, set_precision
 from .models import NetworkConfig, build, count_parameters
 from .training import TrainPlan, evaluate, he_init, lr_at, train
@@ -13,5 +13,5 @@ __all__ = [
     "NetworkConfig", "build", "count_parameters",
     "TrainPlan", "evaluate", "he_init", "lr_at", "train",
     "CoPaUnit", "CoPaUnitSpec", "PathwaySpec", "compose_winners",
-    "analysis", "data", "engine", "models", "training", "units",
+    "analysis", "data", "engine", "models", "settings", "training", "units",
 ]

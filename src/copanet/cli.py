@@ -15,64 +15,21 @@ import sys
 
 import numpy as np
 
-from . import analysis, data as data_mod, engine, models, selfcheck, training
+from . import analysis, data as data_mod, engine, models, selfcheck, settings, training
 from .errors import ConfigurationError, DataError, NumericError, UsageError
-
-PLAN_KEYS = ("epochs", "lr", "lr_drop_fractions", "lr_drop_factor", "momentum",
-             "weight_decay", "batch_size", "augment")
-DATA_KEYS = ("data", "data_dir", "per_class", "test_per_class", "normalize")
-ALL_KEYS = models.MODEL_KEYS + PLAN_KEYS + DATA_KEYS
-
-_DATA_DEFAULTS = {"data": "synthetic", "data_dir": "", "per_class": "100",
-                  "test_per_class": "50", "normalize": "meanstd"}
-
-
-def _split_settings(mapping):
-    model_kv, plan_kv, data_kv = {}, {}, {}
-    for key, value in mapping.items():
-        if key in models.MODEL_KEYS:
-            model_kv[key] = value
-        elif key in PLAN_KEYS:
-            plan_kv[key] = value
-        elif key in DATA_KEYS:
-            data_kv[key] = value
-        else:
-            raise ConfigurationError(
-                f"unknown config key {key!r}; valid keys: {', '.join(ALL_KEYS)}")
-    return model_kv, plan_kv, data_kv
-
-
-def _plan_from_mapping(mapping, seed, precision):
-    kw = {"seed": seed, "precision": precision}
-    for key, value in mapping.items():
-        try:
-            if key == "epochs":
-                kw["total_epochs"] = int(value)
-            elif key == "lr":
-                kw["base_lr"] = float(value)
-            elif key == "lr_drop_fractions":
-                kw["lr_drop_fractions"] = tuple(float(v) for v in str(value).split(",") if v)
-            elif key == "lr_drop_factor":
-                kw["lr_drop_factor"] = float(value)
-            elif key == "momentum":
-                kw["momentum"] = float(value)
-            elif key == "weight_decay":
-                kw["weight_decay"] = float(value)
-            elif key == "batch_size":
-                kw["batch_size"] = int(value)
-            elif key == "augment":
-                kw["augment"] = str(value).lower() in ("1", "true", "yes")
-        except ValueError as exc:
-            raise ConfigurationError(f"bad value for plan key {key!r}: {value!r}") from exc
-    return training.TrainPlan(**kw)
 
 
 def _collect_settings(args):
+    """Merge --config and the --set overrides and validate every key.
+
+    Returns the {section: {key: text}} mapping and the NetworkConfig,
+    TrainPlan and DataSpec it describes, whichever of them the command uses.
+    """
     mapping = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                mapping.update(models.parse_flat_text(fh.read()))
+                mapping.update(settings.parse_flat_text(fh.read()))
         except OSError as exc:
             raise DataError(f"cannot read config file: {exc}") from exc
     for item in args.set or []:
@@ -80,24 +37,11 @@ def _collect_settings(args):
             raise ConfigurationError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()  # last write wins
-    return mapping
-
-
-def _effective_config_text(config, plan, data_kv):
-    lines = [models.config_to_text(config).rstrip("\n")]
-    if plan is not None:
-        lines += [f"epochs = {plan.total_epochs}",
-                  f"lr = {plan.base_lr}",
-                  f"lr_drop_fractions = {','.join(str(f) for f in plan.lr_drop_fractions)}",
-                  f"lr_drop_factor = {plan.lr_drop_factor}",
-                  f"momentum = {plan.momentum}",
-                  f"weight_decay = {plan.weight_decay}",
-                  f"batch_size = {plan.batch_size}",
-                  f"augment = {plan.augment}"]
-    for key in DATA_KEYS:
-        if key in data_kv:
-            lines.append(f"{key} = {data_kv[key]}")
-    return "\n".join(lines) + "\n"
+    sections = settings.split(mapping)
+    config = settings.build(models.NetworkConfig, sections["model"])
+    plan = settings.build(training.TrainPlan, sections["plan"],
+                          seed=args.seed, precision=args.precision)
+    return sections, config, plan, settings.build(data_mod.DataSpec, sections["data"])
 
 
 def _write_effective_config(out_dir, text):
@@ -107,53 +51,29 @@ def _write_effective_config(out_dir, text):
             fh.write(text)
 
 
-def _load_data(data_kv, config, seed):
-    kv = dict(_DATA_DEFAULTS, **data_kv)
-    if kv["data"] == "synthetic":
-        train_set = data_mod.make_synthetic(config.num_classes, int(kv["per_class"]), seed=seed)
-        test_set = data_mod.make_synthetic(config.num_classes, int(kv["test_per_class"]),
-                                           seed=seed + 1)
-    elif kv["data"] == "cifar10":
-        if not kv["data_dir"]:
-            raise ConfigurationError("data=cifar10 needs data_dir=PATH")
-        train_set, test_set = data_mod.load_cifar10(kv["data_dir"])
-    else:
-        raise ConfigurationError(f"unknown data source {kv['data']!r} (synthetic or cifar10)")
-    if kv["normalize"] == "scale255":
-        normalizer = data_mod.Normalizer.scale255()
-    else:
-        normalizer = data_mod.Normalizer.fit(train_set.images)
-    return train_set, test_set, normalizer
-
-
 def cmd_params(args):
-    mapping = _collect_settings(args)
-    model_kv, plan_kv, _ = _split_settings(mapping)
-    if plan_kv:
-        raise ConfigurationError(f"params does not take plan keys: {sorted(plan_kv)}")
-    config = models.config_from_mapping(model_kv)
+    sections, config, _, _ = _collect_settings(args)
+    if sections["plan"]:
+        raise ConfigurationError(f"params does not take plan keys: {sorted(sections['plan'])}")
     table = models.emit_deployment_table(config)
     total = models.count_parameters(models.build(config))
     print(table, end="")
     print(f"total parameters: {total}")
     if args.out:
-        _write_effective_config(args.out, _effective_config_text(config, None, {}))
+        _write_effective_config(args.out, settings.to_text(model=config))
         with open(os.path.join(args.out, "deployment.csv"), "w") as fh:
             fh.write(table)
     return 0
 
 
 def cmd_train(args):
-    mapping = _collect_settings(args)
-    model_kv, plan_kv, data_kv = _split_settings(mapping)
+    _, config, plan, spec = _collect_settings(args)
     engine.set_precision(args.precision)
-    config = models.config_from_mapping(model_kv)
-    plan = _plan_from_mapping(plan_kv, args.seed, args.precision)
-    text = _effective_config_text(config, plan, data_kv)
+    text = settings.to_text(model=config, plan=plan, data=spec)
     print(text, end="")
     _write_effective_config(args.out, text)
 
-    train_set, test_set, normalizer = _load_data(data_kv, config, args.seed)
+    train_set, test_set, normalizer = spec.load(config.num_classes, args.seed)
     model = models.build(config)
     training.he_init(model, np.random.default_rng(args.seed))
     log_path = os.path.join(args.out, "log.csv") if args.out else None
@@ -170,20 +90,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    mapping = _collect_settings(args)
-    _, _, data_kv = _split_settings(mapping)
+    *_, spec = _collect_settings(args)
     model, _ = training.load_checkpoint(args.checkpoint)
-    _, test_set, normalizer = _load_data(data_kv, model.config, args.seed)
+    _, test_set, normalizer = spec.load(model.config.num_classes, args.seed)
     loss, err = training.evaluate(model, test_set, normalizer)
     print(f"test_loss {loss:.6f} test_error {err:.6f}")
     return 0
 
 
 def cmd_trace(args):
-    mapping = _collect_settings(args)
-    _, _, data_kv = _split_settings(mapping)
+    *_, spec = _collect_settings(args)
     model, _ = training.load_checkpoint(args.checkpoint)
-    _, test_set, normalizer = _load_data(data_kv, model.config, args.seed)
+    _, test_set, normalizer = spec.load(model.config.num_classes, args.seed)
     profile = analysis.trace(model, test_set, normalizer, stage=args.stage)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -192,14 +110,13 @@ def cmd_trace(args):
     paths = []
     if profile.k == 2:  # signed-preference heatmaps only exist for 2 pathways
         paths = analysis.export_heatmaps(profile, out_dir, top=args.maps)
-    _write_effective_config(out_dir, _effective_config_text(model.config, None, data_kv))
+    _write_effective_config(out_dir, settings.to_text(model=model.config, data=spec))
     print(f"wrote {csv_path} and {len(paths)} heatmaps to {out_dir}")
     return 0
 
 
 def cmd_sweep(args):
-    mapping = _collect_settings(args)
-    model_kv, plan_kv, data_kv = _split_settings(mapping)
+    sections, _, plan, spec = _collect_settings(args)
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise UsageError("sweep needs a non-empty comma-separated --values list")
@@ -207,14 +124,11 @@ def cmd_sweep(args):
 
     rows = []
     for value in values:
-        kv = dict(model_kv)
-        kv[args.axis] = value
-        config = models.config_from_mapping(kv)
+        config = settings.build(models.NetworkConfig, dict(sections["model"], **{args.axis: value}))
         params = models.count_parameters(models.build(config))
         test_err = ""
         if args.train:
-            plan = _plan_from_mapping(plan_kv, args.seed, args.precision)
-            train_set, test_set, normalizer = _load_data(data_kv, config, args.seed)
+            train_set, test_set, normalizer = spec.load(config.num_classes, args.seed)
             model = models.build(config)
             training.he_init(model, np.random.default_rng(args.seed))
             training.train(model, train_set, plan, normalizer=normalizer)
@@ -258,7 +172,7 @@ def build_parser():
     p_trace.add_argument("--stage", type=int, default=3)
     p_trace.add_argument("--maps", type=int, default=4)
     p_sweep = sub.add_parser("sweep", help="parameter/error sweep over one axis")
-    p_sweep.add_argument("--axis", choices=("k", "m", "depth"), required=True)
+    p_sweep.add_argument("--axis", choices=settings.SWEEP_AXES, required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--train", action="store_true", help="also train per value")
     p_check = sub.add_parser("selfcheck", help="run the fast invariant suite")

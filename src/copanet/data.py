@@ -20,6 +20,9 @@ CIFAR10_CLASSES = ("airplane", "automobile", "bird", "cat", "deer",
 _RECORD_BYTES = 3073
 _RECORDS_PER_FILE = 10000
 
+DATA_SOURCES = ("synthetic", "cifar10")
+NORMALIZE_MODES = ("meanstd", "scale255")
+
 
 @dataclass
 class Dataset:
@@ -34,6 +37,40 @@ class Dataset:
 
     def __len__(self):
         return len(self.images)
+
+
+@dataclass(frozen=True)
+class DataSpec:
+    """Source, synthetic set sizes and normalization of a run's data."""
+    data: str = "synthetic"
+    data_dir: str = ""
+    per_class: int = 100
+    test_per_class: int = 50
+    normalize: str = "meanstd"
+
+    def __post_init__(self):
+        if self.data not in DATA_SOURCES:
+            raise ConfigurationError(f"data must be one of {DATA_SOURCES}, got {self.data!r}")
+        if self.data == "cifar10" and not self.data_dir:
+            raise ConfigurationError("data=cifar10 needs data_dir=PATH")
+        if self.normalize not in NORMALIZE_MODES:
+            raise ConfigurationError(
+                f"normalize must be one of {NORMALIZE_MODES}, got {self.normalize!r}")
+        if self.per_class < 1:
+            raise ConfigurationError(f"per_class must be >= 1, got {self.per_class}")
+        if self.test_per_class < 1:
+            raise ConfigurationError(f"test_per_class must be >= 1, got {self.test_per_class}")
+
+    def load(self, classes, seed):
+        """Return (train_set, test_set, normalizer); synthetic sets use seeds seed, seed + 1."""
+        if self.data == "synthetic":
+            train_set = make_synthetic(classes, self.per_class, seed=seed)
+            test_set = make_synthetic(classes, self.test_per_class, seed=seed + 1)
+        else:
+            train_set, test_set = load_cifar10(self.data_dir)
+        if self.normalize == "scale255":
+            return train_set, test_set, Normalizer.scale255()
+        return train_set, test_set, Normalizer.fit(train_set.images)
 
 
 def read_batch_file(path):
@@ -76,7 +113,7 @@ class Normalizer:
     """
 
     def __init__(self, mean, std, mode="meanstd"):
-        if mode not in ("meanstd", "scale255"):
+        if mode not in NORMALIZE_MODES:
             raise ConfigurationError(f"unknown normalizer mode {mode!r}")
         self.mode = mode
         self.mean = np.asarray(mean, dtype=np.float64)

@@ -6,8 +6,9 @@ precision (32 or 64 bit); switch it before creating tensors.
 
 Every operation records a node on a tape when gradients are enabled and at
 least one input requires them. ``backward`` walks the tape once in reverse
-topological order, accumulates (never overwrites) gradients, then frees the
-graph; a second backward on the same loss is an error.
+topological order, accumulates (never overwrites) gradients, and frees each
+node's part of the graph as soon as it has been swept; a second backward on
+the same loss is an error.
 """
 
 import contextlib
@@ -15,7 +16,6 @@ import itertools
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, DataError, NumericError, UsageError
 
@@ -151,8 +151,10 @@ def backward(loss):
     """Reverse-mode sweep from a scalar loss.
 
     Every requires_grad tensor reachable from ``loss`` receives dLoss/dTensor
-    in ``.grad``. The recorded graph is freed afterwards; calling backward a
-    second time on the same loss raises UsageError.
+    in ``.grad``. Each node's closure and parent links are dropped right
+    after the node is swept, which frees what the closure kept (patches,
+    centred inputs, masks) during the sweep; calling backward a second time
+    on the same loss raises UsageError.
     """
     if loss.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -175,14 +177,13 @@ def backward(loss):
             if id(p) not in visited:
                 stack.append((p, False))
 
+    loss._done = True
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward()
-    for node in topo:
         node._backward = None
         node._parents = ()
-    loss._done = True
 
 
 def first_nonfinite_op(root):
@@ -402,29 +403,20 @@ def avgpool2d(x, window, stride):
     if ho < 1 or wo < 1:
         raise ConfigurationError(f"avgpool2d: window {window} does not fit input {x.shape}")
 
-    tiled = stride == window and h % window == 0 and w % window == 0
-    if tiled:
-        out_data = x.data.reshape(n, c, ho, window, wo, window).mean(axis=(3, 5))
-    else:
-        sn, sc, sh, sw = x.data.strides
-        win = as_strided(x.data, (n, c, ho, wo, window, window),
-                         (sn, sc, sh * stride, sw * stride, sh, sw))
-        out_data = win.mean(axis=(4, 5))
-    out = _result(out_data, "avgpool2d", (x,))
+    def tap(u, v):
+        return x.data[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+
+    # sum each window row, then the rows: the order reshape(...).mean uses
+    rows = [sum((tap(u, v) for v in range(1, window)), tap(u, 0)) for u in range(window)]
+    out = _result(sum(rows[1:], rows[0]) / (window * window), "avgpool2d", (x,))
     if out.requires_grad:
         def _bwd():
             g = out.grad / (window * window)
-            if tiled:
-                # reshape of the broadcast view materializes a fresh array
-                gx = np.broadcast_to(g[:, :, :, None, :, None],
-                                     (n, c, ho, window, wo, window)).reshape(x.shape)
-                _acc(x, gx, own=True)
-            else:
-                gx = np.zeros_like(x.data)
-                for u in range(window):
-                    for v in range(window):
-                        gx[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += g
-                _acc(x, gx, own=True)
+            gx = np.zeros_like(x.data)
+            for u in range(window):
+                for v in range(window):
+                    gx[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += g
+            _acc(x, gx, own=True)
         out._backward = _bwd
     return out
 

@@ -13,9 +13,8 @@ the classifier consumes the concatenation of all three blocks' globally
 pooled outputs.
 """
 
-import hashlib
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +57,12 @@ class NetworkConfig:
             raise ConfigurationError(f"k and m must be >= 1, got k={self.k}, m={self.m}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.num_classes < 2:
+            raise ConfigurationError(f"num_classes must be >= 2, got {self.num_classes}")
         self.units_per_stage  # validates depth arithmetic
-        if self.stage_widths is not None and len(tuple(self.stage_widths)) != 3:
-            raise ConfigurationError(f"stage_widths needs 3 entries, got {self.stage_widths!r}")
+        for name, given in (("stage_widths", self.stage_widths), ("mid_widths", self.mid_widths)):
+            if given is not None and (len(tuple(given)) != 3 or min(given) < 1):
+                raise ConfigurationError(f"{name} needs 3 entries >= 1, got {given!r}")
 
     @property
     def units_per_stage(self):
@@ -271,75 +273,3 @@ def emit_deployment_table(config):
               f"{config.num_classes},{head_params},{cum}\n")
     buf.write(f"total,,,,,{count_parameters(model)},{cum}\n")
     return buf.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# flat key=value configuration files
-
-MODEL_KEYS = ("depth", "k", "m", "variant", "kind", "widths", "mids", "classes", "dropout")
-
-
-def parse_flat_text(text):
-    """Parse 'key = value' lines; '#' starts a comment; blank lines ignored."""
-    out = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"config line {ln}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
-    return out
-
-
-def config_from_mapping(mapping, base=None):
-    """Build a NetworkConfig from string key/value pairs.
-
-    Unknown keys are rejected with the list of valid keys.
-    """
-    cfg = base if base is not None else NetworkConfig()
-    updates = {}
-    for key, value in mapping.items():
-        if key not in MODEL_KEYS:
-            raise ConfigurationError(
-                f"unknown model config key {key!r}; valid keys: {', '.join(MODEL_KEYS)}")
-        try:
-            if key in ("depth", "k", "m"):
-                updates[key] = int(value)
-            elif key == "classes":
-                updates["num_classes"] = int(value)
-            elif key == "dropout":
-                updates["dropout_rate"] = float(value)
-            elif key == "widths":
-                updates["stage_widths"] = tuple(int(v) for v in str(value).split(","))
-            elif key == "mids":
-                updates["mid_widths"] = tuple(int(v) for v in str(value).split(","))
-            else:
-                updates[key] = str(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad value for config key {key!r}: {value!r}") from exc
-    return replace(cfg, **updates)
-
-
-def config_to_text(config):
-    """Serialize the model keys back to flat key=value text."""
-    lines = [
-        f"depth = {config.depth}",
-        f"k = {config.k}",
-        f"m = {config.m}",
-        f"variant = {config.variant}",
-        f"kind = {config.kind}",
-        f"widths = {','.join(str(w) for w in config.widths)}",
-    ]
-    if config.kind == "bottleneck":
-        lines.append(f"mids = {','.join(str(w) for w in config.mids)}")
-    lines += [
-        f"classes = {config.num_classes}",
-        f"dropout = {config.dropout_rate}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def config_digest(config):
-    return hashlib.sha256(config_to_text(config).encode()).hexdigest()

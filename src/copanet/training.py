@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from . import engine, models
+from . import engine, models, settings
 from .errors import ConfigurationError, DataError, UsageError
 
 _DTYPE_TAGS = {1: np.float32, 2: np.float64, 3: np.int64, 4: np.uint8}
@@ -237,7 +237,7 @@ def _read_record(fh):
 def save_checkpoint(path, model, epoch=0, rng=None, plan=None):
     """Write a versioned checkpoint: config, parameters, BN running stats,
     epoch, RNG state and plan digest."""
-    config_text = models.config_to_text(model.config)
+    config_text = settings.to_text(model=model.config)
     meta = {
         "epoch": int(epoch),
         "config_text": config_text,
@@ -274,8 +274,8 @@ def load_checkpoint(path):
         n_records, = struct.unpack("<I", fh.read(4))
         records = dict(_read_record(fh) for _ in range(n_records))
 
-    config = models.config_from_mapping(models.parse_flat_text(meta["config_text"]))
-    model = models.build(config)
+    model_keys = settings.split(settings.parse_flat_text(meta["config_text"]))["model"]
+    model = models.build(settings.build(models.NetworkConfig, model_keys))
     params = model.parameters()
     buffers = model.bn_states()
     for name, arr in records.items():

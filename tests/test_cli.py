@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from copanet import selfcheck
+from copanet import selfcheck, settings
 from copanet.cli import main
 
 TINY_SET = ["--set", "depth=11", "--set", "widths=4,6,8", "--set", "mids=2,3,4",
@@ -143,4 +143,48 @@ def test_selfcheck_fault_injection_reports_conservation_failure(capsys):
 
 def test_usage_error_exit_code():
     assert main(["--set", "depth=nonsense", "params"]) == 1
+    assert main(["--set", "per_class=0", "params"]) == 1  # every command checks every key
     assert main([]) == 1
+
+
+# at least one unparsable or out-of-range value for every key; data_dir takes
+# any path, so its case is the empty path that data=cifar10 cannot use
+BAD_VALUES = [
+    ("depth", "abc"), ("depth", "12"), ("k", "two"), ("k", "0"), ("m", "1.5"),
+    ("variant", "Q"), ("kind", "dense"), ("widths", "4,x,8"), ("widths", "4,6"),
+    ("mids", "2,3"), ("classes", "ten"), ("classes", "1"), ("dropout", "high"),
+    ("dropout", "1.0"), ("epochs", "2.5"), ("epochs", "0"), ("lr", "fast"),
+    ("lr_drop_fractions", "0.6;0.8"), ("lr_drop_fractions", "0.8,0.6"),
+    ("lr_drop_factor", "tenth"), ("momentum", "0,9"), ("weight_decay", "none"),
+    ("batch_size", "8.0"), ("batch_size", "1"), ("augment", "maybe"), ("data", "bogus"),
+    ("data_dir", ""), ("per_class", "abc"), ("per_class", "0"), ("test_per_class", "-1"),
+    ("normalize", "bogus"),
+]
+
+
+def test_bad_values_cover_every_key():
+    assert {name for name, _ in BAD_VALUES} == {key.name for key in settings.KEYS}
+
+
+@pytest.mark.parametrize("name,value", BAD_VALUES)
+def test_bad_key_value_exits_1_with_one_line_and_writes_nothing(tmp_path, capsys, name, value):
+    out = tmp_path / "run"
+    extra = ["--set", "data=cifar10"] if name == "data_dir" else []
+    rc = main(["--out", str(out)] + TINY_SET + TINY_PLAN + extra
+              + ["--set", f"{name}={value}", "train"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    field = next(key.attr for key in settings.KEYS if key.name == name)
+    assert name in err or field in err, err
+    assert not out.exists()
+
+
+def test_config_txt_reproduces_itself(tmp_path, capsys):
+    a, b = tmp_path / "A", tmp_path / "B"
+    plan = TINY_PLAN + ["--set", "epochs=1", "--set", "augment=maybe", "--set", "augment=yes"]
+    assert main(["--out", str(a), "--seed", "3"] + TINY_SET + plan + ["train"]) == 0
+    assert main(["--out", str(b), "--seed", "3", "--config", str(a / "config.txt"), "train"]) == 0
+    text = (a / "config.txt").read_text()
+    assert (b / "config.txt").read_text() == text
+    assert "augment = True" in text and "per_class = 8" in text

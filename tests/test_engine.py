@@ -147,6 +147,25 @@ def test_avgpool_mean(f64):
     assert out.data[0, 0, 0, 0] == 2.5
 
 
+@pytest.mark.parametrize("bits", (32, 64))
+@pytest.mark.parametrize("shape", [(32, 45, 32, 32), (8, 90, 16, 16)])
+def test_avgpool_stride2_matches_reshape_mean_bit_for_bit(bits, shape, rng):
+    prev = engine.precision()
+    engine.set_precision(bits)
+    try:
+        n, c, h, w = shape
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        out = engine.avgpool2d(x, 2, 2)
+        expected = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        assert out.data.dtype == x.data.dtype and np.array_equal(out.data, expected)
+        out.grad = rng.standard_normal(out.shape).astype(out.data.dtype)
+        out._backward()
+        g = np.broadcast_to((out.grad / 4)[:, :, :, None, :, None], (n, c, h // 2, 2, w // 2, 2))
+        assert np.array_equal(x.grad, g.reshape(shape))
+    finally:
+        engine.set_precision(prev)
+
+
 def test_global_avgpool(f64, rng):
     x = rng.standard_normal((2, 3, 4, 4))
     out = engine.global_avgpool(Tensor(x))
@@ -259,6 +278,24 @@ def test_backward_twice_errors(f64):
     loss.backward()
     with pytest.raises(UsageError):
         loss.backward()
+
+
+def test_backward_frees_each_node_as_it_is_swept(f64):
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    h = engine.relu(x)
+    y = engine.scale(h, 2.0)
+    loss = engine.sum_all(y)
+    seen = []
+    relu_bwd = h._backward
+
+    def spy():
+        seen.append((loss._backward, loss._parents, y._backward, y._parents))
+        relu_bwd()
+
+    h._backward = spy
+    loss.backward()
+    assert seen == [(None, (), None, ())]
+    assert h._backward is None and np.array_equal(x.grad, np.full((2, 2), 2.0))
 
 
 def test_backward_accumulates_across_uses(f64):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from copanet import engine, models, training
+from copanet import engine, models, settings, training
 from copanet.engine import Tensor
 from copanet.errors import ConfigurationError
 from copanet.models import NetworkConfig, build, count_parameters
@@ -138,24 +138,35 @@ def test_deployment_table_total_matches_count(capsys):
 
 def test_config_text_round_trip():
     config = NetworkConfig(depth=164, k=2, m=2, variant="R", dropout_rate=0.2)
-    text = models.config_to_text(config)
-    parsed = models.config_from_mapping(models.parse_flat_text(text))
-    assert models.config_to_text(parsed) == text
+    text = settings.to_text(model=config)
+    parsed = settings.build(NetworkConfig, settings.split(settings.parse_flat_text(text))["model"])
+    assert settings.to_text(model=parsed) == text
     assert parsed.widths == config.widths and parsed.mids == config.mids
+
+
+def test_checkpoint_config_text_is_pinned():
+    # every checkpoint embeds and digests this text: a change here changes the file format
+    config = NetworkConfig(depth=11, stage_widths=(4, 6, 8), mid_widths=(2, 3, 4),
+                           num_classes=4, dropout_rate=0.0)
+    assert settings.to_text(model=config) == (
+        "depth = 11\nk = 2\nm = 1\nvariant = plain\nkind = bottleneck\n"
+        "widths = 4,6,8\nmids = 2,3,4\nclasses = 4\ndropout = 0.0\n")
+    basic = NetworkConfig(depth=8, kind="basic", stage_widths=(4, 6, 8))
+    assert "mids" not in settings.to_text(model=basic)
 
 
 def test_unknown_config_key_lists_valid_keys():
     with pytest.raises(ConfigurationError) as err:
-        models.config_from_mapping({"depht": "164"})
+        settings.split({"depht": "164"})
     assert "depht" in str(err.value)
-    for key in models.MODEL_KEYS:
-        assert key in str(err.value)
+    for key in settings.KEYS:
+        assert key.name in str(err.value)
 
 
 def test_parse_flat_text_rejects_garbage():
     with pytest.raises(ConfigurationError):
-        models.parse_flat_text("depth 164")
-    parsed = models.parse_flat_text("# comment\n\ndepth = 29 # inline\n")
+        settings.parse_flat_text("depth 164")
+    parsed = settings.parse_flat_text("# comment\n\ndepth = 29 # inline\n")
     assert parsed == {"depth": "29"}
 
 
@@ -168,6 +179,10 @@ def test_config_validation_errors():
         NetworkConfig(dropout_rate=1.0)
     with pytest.raises(ConfigurationError):
         NetworkConfig(stage_widths=(4, 6))
+    with pytest.raises(ConfigurationError):
+        NetworkConfig(mid_widths=(2, 0, 4))
+    with pytest.raises(ConfigurationError):
+        NetworkConfig(num_classes=1)
 
 
 def test_dropout_in_training_needs_rng(f64, rng):
