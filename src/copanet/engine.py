@@ -96,7 +96,8 @@ class Tensor:
     """N-dimensional dense array, optionally a node in the autodiff graph.
 
     ``data`` and ``grad`` are plain numpy arrays of identical shape. ``grad``
-    stays None until backward accumulates into it.
+    stays None until backward accumulates into it, and backward keeps it
+    only on leaves.
     """
 
     def __init__(self, data, requires_grad=False, op="leaf"):
@@ -151,10 +152,11 @@ def backward(loss):
     """Reverse-mode sweep from a scalar loss.
 
     Every requires_grad tensor reachable from ``loss`` receives dLoss/dTensor
-    in ``.grad``. Each node's closure and parent links are dropped right
-    after the node is swept, which frees what the closure kept (patches,
-    centred inputs, masks) during the sweep; calling backward a second time
-    on the same loss raises UsageError.
+    in ``.grad``. Each op node's closure, parent links and gradient are
+    dropped right after the node is swept, which frees what the closure kept
+    (patches, centred inputs, masks) and the upstream gradients during the
+    sweep; only leaves keep ``.grad``. Calling backward a second time on the
+    same loss raises UsageError.
     """
     if loss.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -182,6 +184,7 @@ def backward(loss):
     for node in reversed(topo):
         if node._backward is not None:
             node._backward()
+            node.grad = None  # an op node's gradient is spent; leaves keep theirs
         node._backward = None
         node._parents = ()
 
@@ -276,7 +279,8 @@ def elementwise_max_k(inputs, capture_routing=False):
 
     Returns (output, winners) where winners holds the winning input index per
     element (int8) when capture_routing is set, else None. Ties break to the
-    lowest index, forward and backward alike. Backward routes each element's
+    lowest index, forward and backward alike: a later input wins an element
+    only where it is strictly greater. Backward routes each element's
     upstream gradient only to its winner.
     """
     if len(inputs) < 2:
@@ -286,36 +290,21 @@ def elementwise_max_k(inputs, capture_routing=False):
         if t.shape != shape:
             raise ConfigurationError(f"elementwise_max_k: shape mismatch {shape} vs {t.shape}")
 
-    if len(inputs) == 2:
-        second_wins = inputs[1].data > inputs[0].data  # strict: ties keep index 0
-        out_data = np.where(second_wins, inputs[1].data, inputs[0].data)
-        winners = second_wins  # boolean view of the same routing decision
-    else:
-        # pairwise fold; strict > keeps the earliest index on ties
-        out_data = inputs[0].data.copy()
-        winners = np.zeros(shape, dtype=np.int8)
-        for k, t in enumerate(inputs[1:], start=1):
-            better = t.data > out_data
-            np.copyto(out_data, t.data, where=better)
-            winners[better] = k
+    out_data, winners = inputs[0].data, None
+    for k, t in enumerate(inputs[1:], start=1):
+        wins = (t.data > out_data).view(np.int8)
+        # k exceeds every earlier index, so max keeps the latest strict winner
+        winners = wins if winners is None else np.maximum(winners, wins * np.int8(k))
+        out_data = np.maximum(out_data, t.data)
     out = _result(out_data, "max_k", tuple(inputs))
     if out.requires_grad:
         def _bwd():
-            if "max_backward" in _faults:
-                for t in inputs:
-                    if t.requires_grad:
-                        _acc(t, out.grad, own=False)
-                return
-            if len(inputs) == 2 and inputs[0].requires_grad and inputs[1].requires_grad:
-                g1 = np.where(winners, out.grad, 0.0)
-                _acc(inputs[0], out.grad - g1, own=True)  # exact: per element g or 0
-                _acc(inputs[1], g1, own=True)
-                return
+            faulty = "max_backward" in _faults
             for k, t in enumerate(inputs):
                 if t.requires_grad:
-                    _acc(t, np.where(winners == k, out.grad, 0.0), own=True)
+                    _acc(t, out.grad if faulty else out.grad * (winners == k), own=not faulty)
         out._backward = _bwd
-    return out, (np.asarray(winners, dtype=np.int8) if capture_routing else None)
+    return out, (winners if capture_routing else None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ applies to conv and linear weights only, never to BN gamma/beta or biases.
 import gc
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -45,6 +46,16 @@ class TrainPlan:
         if self.batch_size < 2:
             raise ConfigurationError(
                 f"batch_size must be >= 2 (batch norm needs batch statistics), got {self.batch_size}")
+        # written as "not in range" so that NaN fails every check
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigurationError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0.0:
+            raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 < self.lr_drop_factor <= 1.0:
+            raise ConfigurationError(
+                f"lr_drop_factor must be in (0, 1], got {self.lr_drop_factor}")
         fr = self.lr_drop_fractions
         if any(not 0.0 < f < 1.0 for f in fr) or list(fr) != sorted(set(fr)):
             raise ConfigurationError(

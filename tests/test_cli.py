@@ -139,6 +139,7 @@ def test_selfcheck_fault_injection_reports_conservation_failure(capsys):
     assert main(["selfcheck", "--inject-fault", "max_backward"]) == 3
     out = capsys.readouterr().out
     assert "FAIL tensor_engine.max_routing_conservation" in out
+    assert "FAIL tensor_engine.gradient_oracle_elementwise_max_k" in out
 
 
 def test_usage_error_exit_code():
@@ -153,9 +154,11 @@ BAD_VALUES = [
     ("depth", "abc"), ("depth", "12"), ("k", "two"), ("k", "0"), ("m", "1.5"),
     ("variant", "Q"), ("kind", "dense"), ("widths", "4,x,8"), ("widths", "4,6"),
     ("mids", "2,3"), ("classes", "ten"), ("classes", "1"), ("dropout", "high"),
-    ("dropout", "1.0"), ("epochs", "2.5"), ("epochs", "0"), ("lr", "fast"),
-    ("lr_drop_fractions", "0.6;0.8"), ("lr_drop_fractions", "0.8,0.6"),
-    ("lr_drop_factor", "tenth"), ("momentum", "0,9"), ("weight_decay", "none"),
+    ("dropout", "1.0"), ("epochs", "2.5"), ("epochs", "0"), ("lr", "fast"), ("lr", "-1"),
+    ("lr", "0"), ("lr_drop_fractions", "0.6;0.8"), ("lr_drop_fractions", "0.8,0.6"),
+    ("lr_drop_factor", "tenth"), ("lr_drop_factor", "0"), ("lr_drop_factor", "2"),
+    ("momentum", "0,9"), ("momentum", "1.5"), ("momentum", "-0.1"),
+    ("weight_decay", "none"), ("weight_decay", "-1"),
     ("batch_size", "8.0"), ("batch_size", "1"), ("augment", "maybe"), ("data", "bogus"),
     ("data_dir", ""), ("per_class", "abc"), ("per_class", "0"), ("test_per_class", "-1"),
     ("normalize", "bogus"),

@@ -136,6 +136,32 @@ def test_max_k_gradient_conservation_random(f64, rng):
         assert np.array_equal(total, np.ones((2, 3, 4)))
 
 
+@pytest.mark.parametrize("bits", (32, 64))
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_max_k_matches_stack_max_and_argmax_with_ties(bits, k, rng):
+    prev = engine.precision()
+    engine.set_precision(bits)
+    try:
+        # small integers force many exact ties between every pair of inputs
+        vals = rng.integers(-2, 3, size=(k, 3, 4, 5, 6)).astype(engine.dtype())
+        ins = [Tensor(v, requires_grad=True) for v in vals]
+        out, winners = engine.elementwise_max_k(ins, capture_routing=True)
+        assert np.array_equal(out.data, vals.max(axis=0))
+        first = vals.argmax(axis=0)  # the first index on ties
+        assert winners.dtype == np.int8 and np.array_equal(winners, first)
+
+        out.grad = rng.standard_normal(out.shape).astype(out.data.dtype)
+        out._backward()
+        for j, t in enumerate(ins):
+            assert np.array_equal(t.grad, out.grad * (first == j)), j
+
+        vals[1, 0, 0, 0, 0] = np.nan
+        out, _ = engine.elementwise_max_k([Tensor(v) for v in vals])
+        assert np.isnan(out.data[0, 0, 0, 0])
+    finally:
+        engine.set_precision(prev)
+
+
 def test_relu(f64):
     out = engine.relu(Tensor(np.array([-1.0, 0.0, 2.0])))
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
@@ -296,6 +322,15 @@ def test_backward_frees_each_node_as_it_is_swept(f64):
     loss.backward()
     assert seen == [(None, (), None, ())]
     assert h._backward is None and np.array_equal(x.grad, np.full((2, 2), 2.0))
+
+
+def test_backward_keeps_gradients_only_on_leaves(f64):
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    h = engine.scale(x, 3.0)
+    loss = engine.sum_all(engine.relu(h))
+    loss.backward()
+    assert h.grad is None and loss.grad is None
+    assert np.array_equal(x.grad, [3.0, 0.0, 3.0])
 
 
 def test_backward_accumulates_across_uses(f64):

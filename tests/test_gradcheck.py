@@ -1,20 +1,17 @@
-"""Central finite differences against every primitive's analytic gradients."""
+"""Central finite differences against every primitive's analytic gradients
+and a CoPa stack built from them (the cases selfcheck runs too)."""
 
 import numpy as np
 import pytest
 
-import fdcases
-from copanet import engine
+from copanet import engine, selfcheck
 from copanet.engine import Tensor
 
 
-@pytest.mark.parametrize("name,case", fdcases.PRIMITIVE_CASES, ids=[n for n, _ in fdcases.PRIMITIVE_CASES])
+@pytest.mark.parametrize("name,case", selfcheck.GRADIENT_CASES,
+                         ids=[n for n, _ in selfcheck.GRADIENT_CASES])
 def test_primitive_gradients(f64, name, case):
     case()
-
-
-def test_copa_stack_gradients(f64):
-    fdcases.case_copa_stack()
 
 
 def test_dropout_training_gradient_is_kept_mask(f64):
