@@ -6,7 +6,8 @@ flows from an optional flat key=value file plus repeatable --set overrides
 output directory is given, serialized next to the artifacts so every run is
 reproducible from its directory alone.
 
-Exit codes: 0 ok, 1 usage/configuration, 2 data, 3 numeric failure.
+Exit codes: 0 ok, 1 usage/configuration, 2 data (including a file that cannot
+be read or written), 3 numeric failure.
 """
 
 import argparse
@@ -27,11 +28,8 @@ def _collect_settings(args):
     """
     mapping = {}
     if args.config:
-        try:
-            with open(args.config) as fh:
-                mapping.update(settings.parse_flat_text(fh.read()))
-        except OSError as exc:
-            raise DataError(f"cannot read config file: {exc}") from exc
+        with open(args.config) as fh:
+            mapping.update(settings.parse_flat_text(fh.read()))
     for item in args.set or []:
         if "=" not in item:
             raise ConfigurationError(f"--set expects key=value, got {item!r}")
@@ -195,7 +193,7 @@ def main(argv=None):
     except (ConfigurationError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

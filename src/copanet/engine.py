@@ -5,10 +5,13 @@ weights are (in_features, out_features). The engine runs at a single global
 precision (32 or 64 bit); switch it before creating tensors.
 
 Every operation records a node on a tape when gradients are enabled and at
-least one input requires them. ``backward`` walks the tape once in reverse
-topological order, accumulates (never overwrites) gradients, and frees each
-node's part of the graph as soon as it has been swept; a second backward on
-the same loss is an error.
+least one input requires them. A node's backward closure keeps only what the
+graph already holds (its inputs and its output) plus per-channel vectors;
+conv2d patches, batch norm's centred input and ReLU's mask are rebuilt from
+those during backward, with the same float operations as the forward pass.
+``backward`` walks the tape once in reverse topological order, accumulates
+(never overwrites) gradients, and frees each node's part of the graph as
+soon as it has been swept; a second backward on the same loss is an error.
 """
 
 import contextlib
@@ -154,9 +157,9 @@ def backward(loss):
     Every requires_grad tensor reachable from ``loss`` receives dLoss/dTensor
     in ``.grad``. Each op node's closure, parent links and gradient are
     dropped right after the node is swept, which frees what the closure kept
-    (patches, centred inputs, masks) and the upstream gradients during the
-    sweep; only leaves keep ``.grad``. Calling backward a second time on the
-    same loss raises UsageError.
+    (per-channel vectors only) and the upstream gradients during the sweep;
+    only leaves keep ``.grad``. Calling backward a second time on the same
+    loss raises UsageError.
     """
     if loss.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -266,12 +269,15 @@ def sum_all(a):
 def relu(a):
     out = _result(np.maximum(a.data, 0), "relu", (a,))
     if out.requires_grad:
-        mask = a.data > 0  # subgradient 0 at the kink
         def _bwd():
             if a.requires_grad:
-                _acc(a, out.grad * mask, own=True)
+                # out > 0 exactly where a > 0; subgradient 0 at the kink
+                _acc(a, out.grad * (out.data > 0), own=True)
         out._backward = _bwd
     return out
+
+
+MAX_K = 128  # winners are int8, so input index 127 is the last one they hold
 
 
 def elementwise_max_k(inputs, capture_routing=False):
@@ -283,8 +289,9 @@ def elementwise_max_k(inputs, capture_routing=False):
     only where it is strictly greater. Backward routes each element's
     upstream gradient only to its winner.
     """
-    if len(inputs) < 2:
-        raise ConfigurationError(f"elementwise_max_k needs K >= 2 inputs, got {len(inputs)}")
+    if not 2 <= len(inputs) <= MAX_K:
+        raise ConfigurationError(
+            f"elementwise_max_k needs 2 to {MAX_K} inputs (winners are int8), got {len(inputs)}")
     shape = inputs[0].shape
     for t in inputs[1:]:
         if t.shape != shape:
@@ -311,42 +318,61 @@ def elementwise_max_k(inputs, capture_routing=False):
 # convolution and pooling
 
 
+def _taps(kh, kw, stride, padding, ho, wo, h, w):
+    """For each kernel tap (u, v), the output rows and columns whose input
+    lies inside the unpadded h x w input, and the input rows and columns they
+    read: (u, v, out_rows, out_cols, in_rows, in_cols) slices."""
+    def axis(offset, size_out, size_in):
+        lo = max(0, -(offset // stride))
+        hi = min(size_out, (size_in - 1 - offset) // stride + 1)
+        start = offset + stride * lo
+        return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
+
+    rows = [axis(u - padding, ho, h) for u in range(kh)]
+    cols = [axis(v - padding, wo, w) for v in range(kw)]
+    return [(u, v, ro, co, ri, ci)
+            for u, (ro, ri) in enumerate(rows) for v, (co, ci) in enumerate(cols)]
+
+
 def _im2col(data, kh, kw, stride, padding, ho, wo):
     """Patch tensor (N, C*kh*kw, Ho*Wo) in native NCHW order.
 
-    A 1x1 kernel at stride 1 without padding is a free reshape; otherwise the
-    patches are filled with kh*kw block slice copies.
+    A 1x1 kernel at stride 1 without padding is a free reshape; otherwise each
+    of the kh*kw taps copies its in-bounds slice of ``data`` into zeroed
+    patches, so no padded copy of the input is made.
     """
     n, c, h, w = data.shape
     if kh == 1 and kw == 1 and stride == 1 and padding == 0:
         return data.reshape(n, c, h * w)
-    xp = np.pad(data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else data
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=data.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            cols[:, :, u, v] = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+    cols = (np.zeros if padding else np.empty)((n, c, kh, kw, ho, wo), dtype=data.dtype)
+    for u, v, ro, co, ri, ci in _taps(kh, kw, stride, padding, ho, wo, h, w):
+        cols[:, :, u, v, ro, co] = data[:, :, ri, ci]
     return cols.reshape(n, c * kh * kw, ho * wo)
 
 
 def _col2im(gcols, shape, kh, kw, stride, padding, ho, wo):
-    """Scatter-add patch gradients (N, C*kh*kw, Ho*Wo) back onto the input."""
+    """Scatter-add patch gradients (N, C*kh*kw, Ho*Wo) back onto the input.
+
+    Each input element sums its taps in (u, v) order starting from zero;
+    taps that fall in the padding are skipped, as they touch no input.
+    """
     n, c, h, w = shape
     if kh == 1 and kw == 1 and stride == 1 and padding == 0:
         return gcols.reshape(shape)
     g6 = gcols.reshape(n, c, kh, kw, ho, wo)
-    gxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=gcols.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            gxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += g6[:, :, u, v]
-    return gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
+    gx = np.zeros(shape, dtype=gcols.dtype)
+    for u, v, ro, co, ri, ci in _taps(kh, kw, stride, padding, ho, wo, h, w):
+        gx[:, :, ri, ci] += g6[:, :, u, v, ro, co]
+    return gx
 
 
 def conv2d(x, w, stride=1, padding=0):
     """2-D cross-correlation, no bias (batch norm follows every conv here).
 
     x is NCHW, w is OIHW. Output spatial size floor((H + 2p - kh)/s) + 1.
-    Differentiable in both x and w. The patch tensor built for the forward
-    GEMM is kept and reused by the backward pass.
+    Differentiable in both x and w. The patch tensor of the forward GEMM is
+    dropped when the forward pass returns; backward rebuilds it from x for
+    the weight gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ConfigurationError(f"conv2d expects 4-d input and weight, got {x.shape} and {w.shape}")
@@ -365,15 +391,17 @@ def conv2d(x, w, stride=1, padding=0):
     if ho < 1 or wo < 1:
         raise ConfigurationError(f"conv2d: kernel {w.shape} does not fit input {x.shape}")
 
-    cols = _im2col(x.data, kh, kw, stride, padding, ho, wo)
     w2 = w.data.reshape(o, -1)
-    out = _result(np.matmul(w2, cols).reshape(n, o, ho, wo), "conv2d", (x, w))
+    patches = _im2col(x.data, kh, kw, stride, padding, ho, wo)
+    out = _result(np.matmul(w2, patches).reshape(n, o, ho, wo), "conv2d", (x, w))
 
     if out.requires_grad:
         def _bwd():
             g3 = out.grad.reshape(n, o, ho * wo)
             if w.requires_grad:
+                cols = _im2col(x.data, kh, kw, stride, padding, ho, wo)
                 gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+                del cols  # free the rebuilt patches before gx allocates its own
                 _acc(w, gw.reshape(w.shape), own=True)
             if x.requires_grad:
                 gcols = np.matmul(w2.T, g3)
@@ -478,7 +506,8 @@ def batchnorm2d(x, state, training):
 
     Training mode normalizes with batch statistics and updates the running
     stats; eval mode uses the running stats. Training requires more than one
-    element per channel, otherwise the variance is undefined.
+    element per channel, otherwise the variance is undefined. Backward keeps
+    the mean and 1/sigma it normalized with and rebuilds x-hat from x.
     """
     if x.data.ndim != 4:
         raise ConfigurationError(f"batchnorm2d expects NCHW input, got {x.shape}")
@@ -494,36 +523,37 @@ def batchnorm2d(x, state, training):
             raise ConfigurationError(
                 "batchnorm2d: training mode needs batch*H*W > 1 per channel, variance undefined")
         mu = x.data.mean(axis=(0, 2, 3))
-        xc = x.data - mu[None, :, None, None]
-        var = np.einsum("nchw,nchw->c", xc, xc) / m
+        out_data = x.data - mu[None, :, None, None]  # scaled and shifted in place below
+        var = np.einsum("nchw,nchw->c", out_data, out_data) / m
         state.running_mean = state.momentum * state.running_mean + (1 - state.momentum) * mu
         state.running_var = state.momentum * state.running_var + (1 - state.momentum) * var
         inv = 1.0 / np.sqrt(var + state.eps)
         scale = gamma.data * inv
-        out_data = xc * scale[None, :, None, None]
+        out_data *= scale[None, :, None, None]
         out_data += beta.data[None, :, None, None]
     else:
+        mu = state.running_mean
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
         scale = gamma.data * inv
-        shift = beta.data - state.running_mean * scale
-        xc = None
+        shift = beta.data - mu * scale
         out_data = x.data * scale[None, :, None, None] + shift[None, :, None, None]
     out = _result(out_data, "batchnorm2d", (x, gamma, beta))
 
     if out.requires_grad:
         def _bwd():
             g = out.grad
-            xhat = (xc if training else
-                    x.data - state.running_mean[None, :, None, None]) * inv[None, :, None, None]
+            xhat = x.data - mu[None, :, None, None]
+            xhat *= inv[None, :, None, None]
+            g_xhat = np.einsum("nchw,nchw->c", g, xhat)
             if gamma.requires_grad:
-                _acc(gamma, np.einsum("nchw,nchw->c", g, xhat), own=True)
+                _acc(gamma, g_xhat, own=True)  # gamma.grad may now alias g_xhat: only read it
             if beta.requires_grad:
                 _acc(beta, g.sum(axis=(0, 2, 3)), own=True)
             if x.requires_grad:
                 if training:
                     # backprop through the batch statistics
                     mean_g = g.mean(axis=(0, 2, 3))
-                    mean_gx = np.einsum("nchw,nchw->c", g, xhat) / m
+                    mean_gx = g_xhat / m
                     gx = g - mean_g[None, :, None, None]
                     xhat *= mean_gx[None, :, None, None]  # xhat is ours, consume it
                     gx -= xhat

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Exit-code mapping used by the CLI: ConfigurationError and UsageError are
-usage failures (1), DataError is a data failure (2), NumericError is a
-numeric failure (3).
+usage failures (1), DataError and any OSError from a file the CLI reads or
+writes are data failures (2), NumericError is a numeric failure (3).
 """
 
 

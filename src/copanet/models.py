@@ -55,6 +55,9 @@ class NetworkConfig:
             raise ConfigurationError(f"kind must be bottleneck or basic, got {self.kind!r}")
         if self.k < 1 or self.m < 1:
             raise ConfigurationError(f"k and m must be >= 1, got k={self.k}, m={self.m}")
+        if self.k > engine.MAX_K:
+            raise ConfigurationError(
+                f"k must be <= {engine.MAX_K} (routing winners are int8), got k={self.k}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.num_classes < 2:

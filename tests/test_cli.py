@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from copanet import selfcheck, settings
+from copanet import data as data_mod, selfcheck, settings
 from copanet.cli import main
 
 TINY_SET = ["--set", "depth=11", "--set", "widths=4,6,8", "--set", "mids=2,3,4",
@@ -125,6 +125,37 @@ def test_cifar_data_error_exit_code(tmp_path):
     assert main(["--set", "data=cifar10", "--set", f"data_dir={tmp_path}", "train"]) == 2
 
 
+def _assert_one_data_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+
+
+def test_missing_config_file_exits_2_with_one_line(tmp_path, capsys):
+    rc = main(["--config", str(tmp_path / "absent.cfg"), "params"])
+    _assert_one_data_error(rc, capsys)
+
+
+def test_missing_checkpoint_exits_2_with_one_line(tmp_path, capsys):
+    rc = main(TINY_SET + ["eval", "--checkpoint", str(tmp_path / "absent.ckpt")])
+    _assert_one_data_error(rc, capsys)
+
+
+def test_out_below_a_regular_file_exits_2_with_one_line(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    rc = main(["--out", str(blocker / "run")] + TINY_SET + TINY_PLAN + ["train"])
+    _assert_one_data_error(rc, capsys)
+
+
+def test_cifar_dir_without_test_batch_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(data_mod, "_RECORDS_PER_FILE", 2)  # 2-record batch files keep it small
+    for i in range(1, 6):
+        (tmp_path / f"data_batch_{i}.bin").write_bytes(bytes(2 * data_mod._RECORD_BYTES))
+    rc = main(["--set", "data=cifar10", "--set", f"data_dir={tmp_path}", "train"])
+    _assert_one_data_error(rc, capsys)
+
+
 def test_selfcheck_passes_and_enumerates_every_invariant(capsys):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
@@ -151,7 +182,7 @@ def test_usage_error_exit_code():
 # at least one unparsable or out-of-range value for every key; data_dir takes
 # any path, so its case is the empty path that data=cifar10 cannot use
 BAD_VALUES = [
-    ("depth", "abc"), ("depth", "12"), ("k", "two"), ("k", "0"), ("m", "1.5"),
+    ("depth", "abc"), ("depth", "12"), ("k", "two"), ("k", "0"), ("k", "129"), ("m", "1.5"),
     ("variant", "Q"), ("kind", "dense"), ("widths", "4,x,8"), ("widths", "4,6"),
     ("mids", "2,3"), ("classes", "ten"), ("classes", "1"), ("dropout", "high"),
     ("dropout", "1.0"), ("epochs", "2.5"), ("epochs", "0"), ("lr", "fast"), ("lr", "-1"),

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from copanet import engine
 from copanet.engine import BatchNormState, Tensor
@@ -39,6 +43,70 @@ def test_conv2d_rejects_unsupported_stride_padding():
         engine.conv2d(x, w, stride=3, padding=1)
     with pytest.raises(ConfigurationError):
         engine.conv2d(x, w, stride=1, padding=2)
+
+
+def _conv_reference(x, w, g, stride, padding):
+    """float64 forward, gx and gw of a conv, from sliding windows and per-tap
+    scatters that share no code with the engine."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    kh, kw = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.tensordot(win, w, axes=((1, 4, 5), (1, 2, 3))).transpose(0, 3, 1, 2)
+    gw = np.tensordot(g, win, axes=((0, 2, 3), (0, 2, 3)))
+    gxp = np.zeros_like(xp)
+    ho, wo = out.shape[2:]
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += np.einsum(
+                "nohw,oc->nchw", g, w[:, :, u, v])
+    return out, gxp[:, :, padding:padding + x.shape[2], padding:padding + x.shape[3]], gw
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 4), o=st.integers(1, 4), size=st.integers(1, 7),
+       kernel=st.sampled_from((1, 3)), stride=st.sampled_from((1, 2)),
+       padding=st.sampled_from((0, 1)), bits=st.sampled_from((32, 64)),
+       seed=st.integers(0, 2 ** 16))
+def test_conv2d_forward_and_gradients_match_float64_reference(
+        n, c, o, size, kernel, stride, padding, bits, seed):
+    assume(size + 2 * padding >= kernel)
+    prev = engine.precision()
+    engine.set_precision(bits)
+    try:
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((n, c, size, size + 1)), requires_grad=True)
+        w = Tensor(rng.standard_normal((o, c, kernel, kernel)), requires_grad=True)
+        out = engine.conv2d(x, w, stride=stride, padding=padding)
+        out.grad = rng.standard_normal(out.shape).astype(out.data.dtype)
+        out._backward()
+        tol = 1e-5 if bits == 32 else 1e-12
+        for got, want in zip((out.data, x.grad, w.grad),
+                             _conv_reference(x.data, w.data, out.grad, stride, padding)):
+            assert got.dtype == engine.dtype() and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol * max(1.0, np.abs(want).max()))
+    finally:
+        engine.set_precision(prev)
+
+
+@pytest.mark.parametrize("op", ("conv2d", "batchnorm2d", "relu"))
+def test_op_keeps_only_per_channel_vectors_for_backward(f64, rng, op):
+    x = Tensor(rng.standard_normal((4, 8, 16, 16)), requires_grad=True)
+    w = Tensor(rng.standard_normal((8, 8, 3, 3)), requires_grad=True)
+    state = BatchNormState(8)
+    run = {"conv2d": lambda: engine.conv2d(x, w, stride=1, padding=1),
+           "batchnorm2d": lambda: engine.batchnorm2d(x, state, training=True),
+           "relu": lambda: engine.relu(x)}[op]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = run()
+        kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    # Python objects plus at most 8 per-channel vectors; a mask of x alone is 8 KiB
+    assert kept <= 3 * 1024 + 8 * 8 * x.data.itemsize, kept
 
 
 def _channelwise(x, mean, std):
@@ -125,6 +193,12 @@ def test_max_k_errors(f64):
         engine.elementwise_max_k([Tensor(np.ones(3))])
     with pytest.raises(ConfigurationError):
         engine.elementwise_max_k([Tensor(np.ones(3)), Tensor(np.ones(4))])
+    # int8 winners hold indices up to 127, so 128 inputs is the most
+    _, winners = engine.elementwise_max_k([Tensor(np.full(3, k)) for k in range(128)],
+                                          capture_routing=True)
+    assert np.array_equal(winners, [127, 127, 127])
+    with pytest.raises(ConfigurationError):
+        engine.elementwise_max_k([Tensor(np.ones(3)) for _ in range(129)])
 
 
 def test_max_k_gradient_conservation_random(f64, rng):

@@ -176,6 +176,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigurationError):
         NetworkConfig(k=0)
     with pytest.raises(ConfigurationError):
+        NetworkConfig(k=129)  # routing winners are int8
+    with pytest.raises(ConfigurationError):
         NetworkConfig(dropout_rate=1.0)
     with pytest.raises(ConfigurationError):
         NetworkConfig(stage_widths=(4, 6))
