@@ -9,6 +9,10 @@ least one input requires them. A node's backward closure keeps only what the
 graph already holds (its inputs and its output) plus per-channel vectors;
 conv2d patches, batch norm's centred input and ReLU's mask are rebuilt from
 those during backward, with the same float operations as the forward pass.
+``bn_relu`` is batch norm and ReLU in one node that holds only its input and
+its rectified output, so no batch-norm output stays in the graph; it is
+``relu(batchnorm2d(...))`` bit for bit, and the model uses it for every
+batch norm.
 ``backward`` walks the tape once in reverse topological order, accumulates
 (never overwrites) gradients, and frees each node's part of the graph as
 soon as it has been swept; a second backward on the same loss is an error.
@@ -509,19 +513,34 @@ def batchnorm2d(x, state, training):
     element per channel, otherwise the variance is undefined. Backward keeps
     the mean and 1/sigma it normalized with and rebuilds x-hat from x.
     """
+    return _batchnorm(x, state, training, rectify=False)
+
+
+def bn_relu(x, state, training):
+    """relu(batchnorm2d(x, state, training)) as one op, bit for bit.
+
+    The ReLU runs in place on the batch-norm output, so the graph holds no
+    batch-norm output; backward masks the upstream gradient with
+    ``out > 0``, which is true exactly where the batch-norm output was > 0.
+    """
+    return _batchnorm(x, state, training, rectify=True)
+
+
+def _batchnorm(x, state, training, rectify):
+    name = "bn_relu" if rectify else "batchnorm2d"
     if x.data.ndim != 4:
-        raise ConfigurationError(f"batchnorm2d expects NCHW input, got {x.shape}")
+        raise ConfigurationError(f"{name} expects NCHW input, got {x.shape}")
     n, c, h, w = x.shape
     if c != state.channels:
         raise ConfigurationError(
-            f"batchnorm2d: input has {c} channels, state has {state.channels}")
+            f"{name}: input has {c} channels, state has {state.channels}")
     gamma, beta = state.gamma, state.beta
     m = n * h * w
 
     if training:
         if m <= 1:
             raise ConfigurationError(
-                "batchnorm2d: training mode needs batch*H*W > 1 per channel, variance undefined")
+                f"{name}: training mode needs batch*H*W > 1 per channel, variance undefined")
         mu = x.data.mean(axis=(0, 2, 3))
         out_data = x.data - mu[None, :, None, None]  # scaled and shifted in place below
         var = np.einsum("nchw,nchw->c", out_data, out_data) / m
@@ -537,11 +556,16 @@ def batchnorm2d(x, state, training):
         scale = gamma.data * inv
         shift = beta.data - mu * scale
         out_data = x.data * scale[None, :, None, None] + shift[None, :, None, None]
-    out = _result(out_data, "batchnorm2d", (x, gamma, beta))
+    if rectify:
+        np.maximum(out_data, 0, out=out_data)
+    out = _result(out_data, name, (x, gamma, beta))
 
     if out.requires_grad:
         def _bwd():
             g = out.grad
+            if rectify:
+                # out.grad is this node's own buffer and dead after this sweep
+                g *= out.data > 0
             xhat = x.data - mu[None, :, None, None]
             xhat *= inv[None, :, None, None]
             g_xhat = np.einsum("nchw,nchw->c", g, xhat)

@@ -200,7 +200,7 @@ class Model:
                 nxt = pooled
             h = engine.dropout(nxt, cfg.dropout_rate, training, rng)
 
-        h = engine.relu(engine.batchnorm2d(h, self.final_bn, training))
+        h = engine.bn_relu(h, self.final_bn, training)
         pooled_feats = engine.global_avgpool(h)
         if cfg.variant == "R":
             early = [engine.global_avgpool(c) for c in carried]

@@ -120,6 +120,20 @@ def case_batchnorm():
     _check(build, [x, gamma, beta], 1e-4)
 
 
+def case_bn_relu():
+    rng = np.random.default_rng(34)  # every pre-activation is >= 0.019 from the kink
+    x = rng.standard_normal((2, 3, 3, 3)) * 2 + 1
+    gamma = rng.standard_normal(3) + 1.5
+    beta = rng.standard_normal(3)
+
+    def build(ts):
+        state = engine.BatchNormState(3)
+        state.gamma, state.beta = ts[1], ts[2]
+        return engine.sum_all(engine.bn_relu(ts[0], state, training=True))
+
+    _check(build, [x, gamma, beta], 1e-4)
+
+
 def case_relu():
     rng = np.random.default_rng(25)
     x = rng.standard_normal((4, 7))
@@ -230,6 +244,7 @@ GRADIENT_CASES = (
     ("conv2d_strided", case_conv2d_strided),
     ("conv2d_1x1", case_conv2d_1x1),
     ("batchnorm2d", case_batchnorm),
+    ("bn_relu", case_bn_relu),
     ("relu", case_relu),
     ("elementwise_max_k", case_max_k),
     ("avgpool2d", case_avgpool),

@@ -7,10 +7,12 @@ test error taken from the final epoch (no early stopping). Weight decay
 applies to conv and linear weights only, never to BN gamma/beta or biases.
 """
 
+import contextlib
 import gc
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -73,9 +75,12 @@ def lr_at(epoch, plan):
     """Learning rate for a 0-based epoch under the staged drop schedule."""
     if not 0 <= epoch < plan.total_epochs:
         raise UsageError(f"epoch {epoch} outside [0, {plan.total_epochs})")
-    # 1e-9 nudge so decimal fractions floor to the intended epoch boundary
+    # a drop takes effect at the first epoch that starts once a fraction f
+    # of the budget has run, never earlier; the 1e-9 nudge keeps a product
+    # that rounds just above an integer (0.07 * 100 = 7.000000000000001)
+    # on that epoch
     drops = sum(1 for f in plan.lr_drop_fractions
-                if epoch >= int(f * plan.total_epochs + 1e-9))
+                if epoch >= math.ceil(f * plan.total_epochs - 1e-9))
     return plan.base_lr * plan.lr_drop_factor ** drops
 
 
@@ -234,20 +239,45 @@ def _write_record(fh, name, arr):
     fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
-def _read_record(fh):
-    name_len, = struct.unpack("<H", fh.read(2))
-    name = fh.read(name_len).decode()
-    tag, ndim = struct.unpack("<BB", fh.read(2))
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
+class _Cursor:
+    """Reads a checkpoint's bytes front to back; reading past the end is a
+    DataError, so a truncated file never reaches struct or numpy."""
+
+    def __init__(self, raw):
+        self.raw = memoryview(raw)
+        self.pos = 0
+
+    def take(self, n):
+        if n > len(self.raw) - self.pos:
+            raise DataError(f"truncated: {n} bytes wanted at offset {self.pos}, "
+                            f"{len(self.raw) - self.pos} left")
+        self.pos += n
+        return self.raw[self.pos - n:self.pos]
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+
+def _read_record(cur):
+    name_len, = cur.unpack("<H")
+    name = bytes(cur.take(name_len)).decode()
+    tag, ndim = cur.unpack("<BB")
+    if tag not in _DTYPE_TAGS:
+        raise DataError(f"record {name!r} has unknown dtype tag {tag}")
+    shape = cur.unpack(f"<{ndim}I")
     dt = np.dtype(_DTYPE_TAGS[tag]).newbyteorder("<")
-    raw = fh.read(int(np.prod(shape, dtype=np.int64)) * dt.itemsize)
-    arr = np.frombuffer(raw, dtype=dt).reshape(shape)
-    return name, arr.astype(_DTYPE_TAGS[tag])
+    raw = cur.take(math.prod(shape) * dt.itemsize)
+    return name, np.frombuffer(raw, dtype=dt).reshape(shape).astype(_DTYPE_TAGS[tag])
 
 
 def save_checkpoint(path, model, epoch=0, rng=None, plan=None):
     """Write a versioned checkpoint: config, parameters, BN running stats,
-    epoch, RNG state and plan digest."""
+    epoch, RNG state and plan digest.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so ``path`` always holds either the previous
+    checkpoint or the complete new one.
+    """
     config_text = settings.to_text(model=model.config)
     meta = {
         "epoch": int(epoch),
@@ -256,52 +286,85 @@ def save_checkpoint(path, model, epoch=0, rng=None, plan=None):
         "rng_state": rng.bit_generator.state if rng is not None else None,
     }
     records = list(model.parameters().items()) + list(model.buffers().items())
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(hashlib.sha256(config_text.encode()).digest())
-        meta_blob = json.dumps(meta).encode()
-        fh.write(struct.pack("<I", len(meta_blob)))
-        fh.write(meta_blob)
-        fh.write(struct.pack("<I", len(records)))
-        for name, item in records:
-            _write_record(fh, name, item.data if isinstance(item, engine.Tensor) else item)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(hashlib.sha256(config_text.encode()).digest())
+            meta_blob = json.dumps(meta).encode()
+            fh.write(struct.pack("<I", len(meta_blob)))
+            fh.write(meta_blob)
+            fh.write(struct.pack("<I", len(records)))
+            for name, item in records:
+                _write_record(fh, name, item.data if isinstance(item, engine.Tensor) else item)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _parse_checkpoint(raw, path):
+    """(meta, {name: array}) from a checkpoint's bytes; any malformed file
+    raises DataError naming ``path``."""
+    try:
+        magic = bytes(raw[:len(CHECKPOINT_MAGIC)])
+        if magic != CHECKPOINT_MAGIC:
+            raise DataError(f"not a checkpoint (magic {magic!r})")
+        cur = _Cursor(raw)
+        cur.take(len(CHECKPOINT_MAGIC))
+        version, = cur.unpack("<I")
+        if version != CHECKPOINT_VERSION:
+            raise DataError(f"unsupported checkpoint version {version}")
+        digest = bytes(cur.take(32))
+        meta_len, = cur.unpack("<I")
+        meta = json.loads(bytes(cur.take(meta_len)).decode())
+        if not isinstance(meta, dict) or not isinstance(meta.get("config_text"), str):
+            raise DataError("metadata holds no config text")
+        if hashlib.sha256(meta["config_text"].encode()).digest() != digest:
+            raise DataError("config digest mismatch, file corrupt")
+        n_records, = cur.unpack("<I")
+        records = {}
+        for _ in range(n_records):
+            name, arr = _read_record(cur)
+            if name in records:
+                raise DataError(f"duplicate record {name!r}")
+            records[name] = arr
+        if cur.pos != len(raw):
+            raise DataError(f"{len(raw) - cur.pos} bytes after the last record")
+    except (DataError, ValueError) as exc:  # ValueError: undecodable UTF-8 or JSON
+        raise DataError(f"{path}: {exc}") from exc
+    return meta, records
 
 
 def load_checkpoint(path):
-    """Rebuild the model from a checkpoint. Returns (model, meta dict)."""
+    """Rebuild the model from a checkpoint. Returns (model, meta dict).
+
+    Every parameter and BN running statistic of the model must have exactly
+    one record, at the model's shape. A malformed file of any kind raises
+    DataError naming the path.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: not a checkpoint (magic {magic!r})")
-        version, = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        digest = fh.read(32)
-        meta_len, = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode())
-        if hashlib.sha256(meta["config_text"].encode()).digest() != digest:
-            raise DataError(f"{path}: config digest mismatch, file corrupt")
-        n_records, = struct.unpack("<I", fh.read(4))
-        records = dict(_read_record(fh) for _ in range(n_records))
+        meta, records = _parse_checkpoint(fh.read(), path)
 
     model_keys = settings.split(settings.parse_flat_text(meta["config_text"]))["model"]
     model = models.build(settings.build(models.NetworkConfig, model_keys))
     params = model.parameters()
-    buffers = model.bn_states()
+    shapes = {name: p.data.shape for name, p in params.items()}
+    shapes.update((name, arr.shape) for name, arr in model.buffers().items())
+    states = model.bn_states()
     for name, arr in records.items():
-        if name in params:
-            if params[name].data.shape != arr.shape:
-                raise DataError(f"{path}: record {name!r} shape {arr.shape} vs "
-                                f"model {params[name].data.shape}")
-            params[name].data = arr
-        elif name.endswith(".running_mean"):
-            buffers[name[:-len(".running_mean")]].running_mean = arr
-        elif name.endswith(".running_var"):
-            buffers[name[:-len(".running_var")]].running_var = arr
-        else:
+        if name not in shapes:
             raise DataError(f"{path}: unknown record {name!r}")
-    missing = set(params) - set(records)
+        if arr.shape != shapes[name]:
+            raise DataError(f"{path}: record {name!r} shape {arr.shape} vs model {shapes[name]}")
+        if name in params:
+            params[name].data = arr
+        else:  # "<bn name>.running_mean" or "<bn name>.running_var"
+            bn, stat = name.rsplit(".", 1)
+            setattr(states[bn], stat, arr)
+    missing = sorted(set(shapes) - set(records))
     if missing:
-        raise DataError(f"{path}: missing parameter records: {sorted(missing)[:3]}...")
+        raise DataError(f"{path}: {len(missing)} missing records, first {missing[0]!r}")
     return model, meta

@@ -128,10 +128,10 @@ class CoPaUnit:
         p = self.spec.pathway
         path = self._paths[k]
         with engine.op_scope(f"{self.unit_id}.path{k}"):
-            h = engine.relu(engine.batchnorm2d(x, path["bn1"], training))
+            h = engine.bn_relu(x, path["bn1"], training)
             if p.kind == "bottleneck":
                 h = engine.conv2d(h, path["conv1"], stride=1, padding=0)
-                h = engine.relu(engine.batchnorm2d(h, path["bn2"], training))
+                h = engine.bn_relu(h, path["bn2"], training)
                 h = engine.conv2d(h, path["conv2"], stride=p.stride, padding=1)
                 h = engine.conv2d(h, path["conv3"], stride=1, padding=0)
             else:

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from copanet import data as data_mod, selfcheck, settings
+from copanet import data as data_mod, models, selfcheck, settings, training
 from copanet.cli import main
 
 TINY_SET = ["--set", "depth=11", "--set", "widths=4,6,8", "--set", "mids=2,3,4",
@@ -138,6 +138,16 @@ def test_missing_config_file_exits_2_with_one_line(tmp_path, capsys):
 
 def test_missing_checkpoint_exits_2_with_one_line(tmp_path, capsys):
     rc = main(TINY_SET + ["eval", "--checkpoint", str(tmp_path / "absent.ckpt")])
+    _assert_one_data_error(rc, capsys)
+
+
+def test_truncated_checkpoint_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "trunc.ckpt"
+    model = models.build(models.NetworkConfig(depth=11, stage_widths=(4, 6, 8),
+                                              mid_widths=(2, 3, 4)))
+    training.save_checkpoint(str(path), model)
+    path.write_bytes(path.read_bytes()[:200])  # ends inside the metadata JSON
+    rc = main(TINY_SET + ["eval", "--checkpoint", str(path)])
     _assert_one_data_error(rc, capsys)
 
 

@@ -89,14 +89,15 @@ def test_conv2d_forward_and_gradients_match_float64_reference(
         engine.set_precision(prev)
 
 
-@pytest.mark.parametrize("op", ("conv2d", "batchnorm2d", "relu"))
+@pytest.mark.parametrize("op", ("conv2d", "batchnorm2d", "relu", "bn_relu"))
 def test_op_keeps_only_per_channel_vectors_for_backward(f64, rng, op):
     x = Tensor(rng.standard_normal((4, 8, 16, 16)), requires_grad=True)
     w = Tensor(rng.standard_normal((8, 8, 3, 3)), requires_grad=True)
     state = BatchNormState(8)
     run = {"conv2d": lambda: engine.conv2d(x, w, stride=1, padding=1),
            "batchnorm2d": lambda: engine.batchnorm2d(x, state, training=True),
-           "relu": lambda: engine.relu(x)}[op]
+           "relu": lambda: engine.relu(x),
+           "bn_relu": lambda: engine.bn_relu(x, state, training=True)}[op]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -156,6 +157,46 @@ def test_batchnorm_eval_uses_running_stats(f64, rng):
     expected = (x.data - state.running_mean[None, :, None, None]) / np.sqrt(
         state.running_var[None, :, None, None] + state.eps)
     assert np.allclose(out.data, expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 5), w=st.integers(1, 5),
+       training=st.booleans(), bits=st.sampled_from((32, 64)), seed=st.integers(0, 2 ** 16))
+def test_bn_relu_is_relu_of_batchnorm_bit_for_bit(n, c, h, w, training, bits, seed):
+    """Output, running statistics and every gradient of the fused op equal
+    those of relu(batchnorm2d(...)) exactly, in both modes and precisions."""
+    assume(not training or n * h * w > 1)
+    prev = engine.precision()
+    engine.set_precision(bits)
+    try:
+        rng = np.random.default_rng(seed)
+        xdata = rng.standard_normal((n, c, h, w)) * 2 + 0.5
+        affine = rng.standard_normal((4, c))
+        upstream = rng.standard_normal((n, c, h, w)).astype(engine.dtype())
+        runs = []
+        for fused in (True, False):
+            x = Tensor(xdata, requires_grad=True)
+            state = BatchNormState(c)
+            state.gamma.data = affine[0].astype(engine.dtype()) + 1
+            state.beta.data = affine[1].astype(engine.dtype())
+            state.running_mean = affine[2].astype(engine.dtype())
+            state.running_var = np.abs(affine[3]).astype(engine.dtype()) + 0.5
+            if fused:
+                out = engine.bn_relu(x, state, training)
+                nodes = [out]
+            else:
+                bn = engine.batchnorm2d(x, state, training)
+                out = engine.relu(bn)
+                nodes = [out, bn]
+            out.grad = upstream.copy()
+            for node in nodes:
+                node._backward()
+            runs.append((out.data, state.running_mean, state.running_var,
+                         x.grad, state.gamma.grad, state.beta.grad))
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    finally:
+        engine.set_precision(prev)
 
 
 def test_batchnorm_single_element_training_errors(f64):

@@ -55,7 +55,8 @@ def test_k1_model_builds_no_max_nodes(f64, rng):
         seen.add(node.op.rsplit("/", 1)[-1])
         stack.extend(node._parents)
     assert "max_k" not in seen
-    assert "conv2d" in seen and "batchnorm2d" in seen
+    assert "conv2d" in seen and "bn_relu" in seen
+    assert "batchnorm2d" not in seen and "relu" not in seen  # every BN is fused with its ReLU
 
 
 def test_r_variant_classifier_channels_equal_sum_of_widths(f64, rng):

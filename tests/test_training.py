@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,20 @@ def test_lr_schedule_svhn_plan():
     assert lr_at(9, plan) == 0.1
     assert lr_at(10, plan) == pytest.approx(0.01)
     assert lr_at(15, plan) == pytest.approx(0.001)
+
+
+@pytest.mark.parametrize("epochs,fractions,schedule", [
+    (1, (0.6, 0.8), [0.1]),
+    (2, (0.6, 0.8), [0.1, 0.1]),
+    (3, (0.6, 0.8), [0.1, 0.1, 0.01]),
+    (5, (0.6, 0.8), [0.1, 0.1, 0.1, 0.01, 0.001]),
+    (20, (0.5, 0.75), [0.1] * 10 + [0.01] * 5 + [0.001] * 5),
+    (25, (0.6, 0.8), [0.1] * 15 + [0.01] * 5 + [0.001] * 5),
+    (300, (0.6, 0.8), [0.1] * 180 + [0.01] * 60 + [0.001] * 60),
+])
+def test_lr_drops_only_once_their_fraction_of_the_budget_has_run(epochs, fractions, schedule):
+    plan = TrainPlan(total_epochs=epochs, base_lr=0.1, lr_drop_fractions=fractions)
+    assert [lr_at(e, plan) for e in range(epochs)] == pytest.approx(schedule, rel=1e-12)
 
 
 def test_lr_out_of_range():
@@ -236,6 +252,95 @@ def test_checkpoint_rejects_corrupt_magic(f64, rng, tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError):
         training.load_checkpoint(str(path))
+
+
+def _tiny_checkpoint(tmp_path, rng):
+    model = _tiny_model(rng, k=1)
+    path = tmp_path / "m.ckpt"
+    training.save_checkpoint(str(path), model, epoch=1, rng=np.random.default_rng(2))
+    return model, path
+
+
+def test_checkpoint_truncated_at_every_offset_raises_data_error(f64, rng, tmp_path):
+    _, path = _tiny_checkpoint(tmp_path, rng)
+    raw = path.read_bytes()
+    for end in range(len(raw)):  # in memory: one file per offset is slow to write
+        with pytest.raises(DataError, match="m.ckpt"):
+            training._parse_checkpoint(raw[:end], "m.ckpt")
+    # the whole load path too, at offsets inside the header, the metadata
+    # JSON, a record header and a record payload
+    for end in (1, 12, 60, len(raw) // 2, len(raw) - 1):
+        path.write_bytes(raw[:end])
+        with pytest.raises(DataError):
+            training.load_checkpoint(str(path))
+
+
+def _rewrite(path, model, records, first=()):
+    """Save the named arrays ``first`` then ``records`` under ``model``'s
+    config, in the checkpoint format."""
+    writer = types.SimpleNamespace(config=model.config, parameters=lambda: dict(first),
+                                   buffers=lambda: dict(records))
+    training.save_checkpoint(str(path), writer)
+
+
+@pytest.mark.parametrize("edit", ["drop_running_var", "short_running_mean", "unknown_stat",
+                                  "unknown_bn", "duplicate", "drop_param"])
+def test_checkpoint_requires_every_record_at_its_shape(f64, rng, tmp_path, edit):
+    model, path = _tiny_checkpoint(tmp_path, rng)
+    records = [(n, p.data) for n, p in model.parameters().items()]
+    records += list(model.buffers().items())
+    names = [n for n, _ in records]
+    first = ()
+    if edit == "drop_running_var":
+        del records[names.index("final_bn.running_var")]
+    elif edit == "short_running_mean":
+        records[names.index("final_bn.running_mean")] = ("final_bn.running_mean", np.zeros(3))
+    elif edit == "unknown_stat":
+        records.append(("final_bn.running_std", np.ones(8)))
+    elif edit == "unknown_bn":
+        records.append(("nowhere.running_mean", np.ones(8)))
+    elif edit == "duplicate":
+        first = records[:1]
+    else:
+        del records[names.index("classifier.b")]
+    _rewrite(path, model, records, first)
+    with pytest.raises(DataError, match="m.ckpt"):
+        training.load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_unknown_dtype_tag_and_trailing_bytes(f64, rng, tmp_path):
+    model, path = _tiny_checkpoint(tmp_path, rng)
+    raw = path.read_bytes()
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(DataError, match="after the last record"):
+        training.load_checkpoint(str(path))
+    # the last record is final_bn.running_var: 8 float64 values of 1 dim
+    name = b"final_bn.running_var"
+    tag_at = raw.rindex(name) + len(name)
+    assert raw[tag_at:tag_at + 2] == bytes([2, 1])
+    path.write_bytes(raw[:tag_at] + bytes([9]) + raw[tag_at + 1:])
+    with pytest.raises(DataError, match="dtype tag 9"):
+        training.load_checkpoint(str(path))
+
+
+def test_checkpoint_save_is_atomic(f64, rng, tmp_path, monkeypatch):
+    model, path = _tiny_checkpoint(tmp_path, rng)
+    before = path.read_bytes()
+    written = []
+
+    def disk_full_after_three(fh, name, arr):
+        if len(written) == 3:
+            raise OSError(28, "No space left on device")
+        written.append(name)
+        write_record(fh, name, arr)
+
+    write_record = training._write_record
+    monkeypatch.setattr(training, "_write_record", disk_full_after_three)
+    he_init(model, np.random.default_rng(99))
+    with pytest.raises(OSError, match="No space"):
+        training.save_checkpoint(str(path), model, epoch=2)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
 def test_write_log_csv(tmp_path):
